@@ -183,19 +183,14 @@ func (p Params) validate() error {
 	if p.FixedG > 0 && p.P%p.FixedG != 0 {
 		return fmt.Errorf("core: FixedG %d does not divide P %d", p.FixedG, p.P)
 	}
-	if p.Faults != nil {
-		switch p.Algo {
-		case CD, IDD, HD:
-		default:
-			return fmt.Errorf("core: fault-tolerant execution supports cd, idd and hd, not %q", p.Algo)
-		}
+	// Fault tolerance, checkpoints, the ooc backend and non-default
+	// counting engines are grid-engine (CD, IDD, HD) features.
+	grid := p.Algo == CD || p.Algo == IDD || p.Algo == HD
+	if p.Faults != nil && !grid {
+		return fmt.Errorf("core: fault-tolerant execution supports cd, idd and hd, not %q", p.Algo)
 	}
-	if p.CheckpointDir != "" {
-		switch p.Algo {
-		case CD, IDD, HD:
-		default:
-			return fmt.Errorf("core: checkpoint persistence supports cd, idd and hd, not %q", p.Algo)
-		}
+	if p.CheckpointDir != "" && !grid {
+		return fmt.Errorf("core: checkpoint persistence supports cd, idd and hd, not %q", p.Algo)
 	}
 	switch p.Recovery {
 	case "", RecoveryCoordinated, RecoveryAsymmetric:
@@ -214,26 +209,14 @@ func (p Params) validate() error {
 		if p.Store == nil {
 			return fmt.Errorf("core: backend %q requires Params.Store", BackendOOC)
 		}
-		switch p.Algo {
-		case CD, IDD, HD:
-		default:
+		if !grid {
 			return fmt.Errorf("core: backend %q supports cd, idd and hd, not %q", BackendOOC, p.Algo)
-		}
-		if p.Faults != nil {
-			return fmt.Errorf("core: backend %q does not support fault injection", BackendOOC)
 		}
 	default:
 		return fmt.Errorf("core: unknown backend %q (want %q or %q)", p.Backend, BackendInMem, BackendOOC)
 	}
-	if p.Apriori.Engine != "" && p.Apriori.Engine != countengine.Default {
-		switch p.Algo {
-		case CD, IDD, HD:
-		default:
-			// DD, DD+comm and HPA shuttle transactions through their own
-			// hash-tree bodies; only the grid engine counts through the
-			// seam.
-			return fmt.Errorf("core: counting engine %q supports cd, idd and hd, not %q", p.Apriori.Engine, p.Algo)
-		}
+	if p.Apriori.Engine != "" && p.Apriori.Engine != countengine.Default && !grid {
+		return fmt.Errorf("core: counting engine %q supports cd, idd and hd, not %q", p.Apriori.Engine, p.Algo)
 	}
 	return nil
 }
@@ -307,18 +290,6 @@ func (s *ReadStats) Add(o ReadStats) {
 	s.DecodeSeconds += o.DecodeSeconds
 }
 
-// readStatsOf converts a rank-local record into the exported aggregate.
-func readStatsOf(o oocReadStats) ReadStats {
-	return ReadStats{
-		Partitions:    o.parts,
-		Blocks:        o.blocks,
-		Bytes:         o.bytes,
-		CRCRetries:    o.crcRetries,
-		Stalls:        o.stalls,
-		DecodeSeconds: o.decodeSeconds,
-	}
-}
-
 // Report is the outcome of a parallel mining run.
 type Report struct {
 	Algo   Algorithm
@@ -390,70 +361,12 @@ func (r *Report) PhaseBreakdown() map[string]float64 {
 // emulated cluster of prm.P processors and returns the report.  The dataset
 // is split evenly among the processors, the paper's standing assumption.
 func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
-	prm = prm.withDefaults()
-	if err := prm.validate(); err != nil {
-		return nil, err
-	}
 	start := time.Now() //checkinv:allow walltime — the Wall stat reports real elapsed time and never enters the virtual clock
-
-	var numItems, nTxns int
-	var shards []*itemset.Dataset
-	if prm.Backend == BackendOOC {
-		if data != nil {
-			return nil, fmt.Errorf("core: backend %q mines from Params.Store; the dataset argument must be nil", BackendOOC)
-		}
-		info := prm.Store.Info()
-		numItems, nTxns = info.NumItems, info.NumTxns
-	} else {
-		if data == nil {
-			return nil, fmt.Errorf("core: nil dataset")
-		}
-		numItems, nTxns = data.NumItems, data.Len()
-		shards = data.Split(prm.P)
-	}
-
-	cl, err := cluster.New(prm.P, prm.Machine)
+	run, err := newRun(data, prm)
 	if err != nil {
 		return nil, err
 	}
-	if prm.Trace || prm.Recorder != nil {
-		cl.EnableTrace()
-	}
-	if err := cl.InstallFaults(prm.Faults); err != nil {
-		return nil, err
-	}
-
-	active := make([]int, prm.P)
-	owned := make([][]int, prm.P)
-	for i := range active {
-		active[i] = i
-		owned[i] = []int{i}
-	}
-	engB, err := countengine.New(prm.Apriori.Engine, countengine.Config{
-		Tree:     prm.Apriori.Tree,
-		NumItems: numItems,
-	})
-	if err != nil {
-		return nil, err
-	}
-	run := &run{
-		prm:         prm,
-		cl:          cl,
-		world:       cl.World(),
-		data:        data,
-		store:       prm.Store,
-		numItems:    numItems,
-		nTxns:       nTxns,
-		shards:      shards,
-		minCount:    prm.Apriori.MinCount(nTxns),
-		perProc:     make([]procTrace, prm.P),
-		active:      active,
-		ownedShards: owned,
-		restartWant: make([]bool, prm.P),
-		rec:         prm.Recorder,
-		engB:        engB,
-	}
-	run.rebuildVRank()
+	prm = run.prm
 	run.setRunMeta()
 	resumed, err := run.loadCheckpoint()
 	if err != nil {
@@ -473,7 +386,7 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 		if err := run.mineWithRecovery(body); err != nil {
 			return nil, err
 		}
-	} else if err := cl.Run(body); err != nil {
+	} else if err := run.cl.Run(body); err != nil {
 		return nil, err
 	}
 	run.recordRunTrace(resumed)
@@ -484,9 +397,9 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 		Params:        prm,
 		Result:        run.assembleResult(),
 		Passes:        run.assemblePasses(),
-		ResponseTime:  cl.MaxClock(),
-		Clocks:        cl.Clocks(),
-		Total:         cl.TotalStats(),
+		ResponseTime:  run.cl.MaxClock(),
+		Clocks:        run.cl.Clocks(),
+		Total:         run.cl.TotalStats(),
 		Wall:          time.Since(start), //checkinv:allow walltime — pairs with the Wall stat's time.Now above
 		Restarts:      run.restarts,
 		LostRanks:     append([]int(nil), run.lost...),
@@ -496,7 +409,7 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 		rep.Read.Add(pass.Read)
 	}
 	if prm.Trace {
-		rep.Trace = cl.Trace()
+		rep.Trace = run.cl.Trace()
 	}
 	return rep, nil
 }
@@ -509,14 +422,14 @@ type run struct {
 	prm      Params
 	cl       *cluster.Cluster
 	world    *cluster.Comm
-	data     *itemset.Dataset
-	shards   []*itemset.Dataset
 	minCount int64
 	perProc  []procTrace
 
-	// store, numItems and nTxns carry the out-of-core backend's state: the
-	// opened partition store and the database dimensions its manifest
-	// declares (data is nil on an ooc run).
+	// The transactions live in exactly one of shards (the resident
+	// dataset split P ways) and store (the opened partition store); the
+	// bodies reach them only through openSource.  numItems and nTxns are
+	// the database dimensions, from the dataset or the store's manifest.
+	shards   []*itemset.Dataset
 	store    *txstore.Store
 	numItems int
 	nTxns    int
@@ -527,9 +440,10 @@ type run struct {
 	// run is simply a smaller grid.
 	active []int
 	vrank  []int
-	// ownedShards[rank] are the data shards rank counts: its own, plus any
-	// adopted from permanently lost ring predecessors.
-	ownedShards [][]int
+	// owned[rank] are the data units the rank reads — shard indices or
+	// store partition indices — its own plus any adopted from permanently
+	// lost ring predecessors.
+	owned [][]int
 	// restartWant[rank] tells the rank to charge a checkpoint restore when
 	// its body re-enters after a rollback.  Each goroutine touches only its
 	// own slot.
@@ -539,43 +453,76 @@ type run struct {
 	// rec receives observability spans (nil when not tracing); the bodies
 	// emit pass and section spans through the helpers in obsv.go.
 	rec obsv.Recorder
-	// engB builds the per-pass counting engines of the grid bodies; built
-	// once in Mine (NewPass is goroutine-safe, the builder itself is
-	// read-only during the run).
+	// engB builds the per-pass counting engines (NewPass is goroutine-safe,
+	// the builder itself is read-only during the run).
 	engB countengine.Builder
 }
 
-// engineBuilder returns the run's counting-engine builder, falling back to
-// the default hash tree when the run was constructed directly (unit tests).
-func (r *run) engineBuilder() countengine.Builder {
-	if r.engB == nil {
-		b, err := countengine.New(countengine.Default, countengine.Config{Tree: r.prm.Apriori.Tree})
-		if err != nil {
-			panic(err) // unreachable: the default backend is always registered
+// newRun validates the parameters and builds a mining run: the emulated
+// cluster, the counting-engine builder, and the rank→data ownership table.
+// Rank i starts out owning shard i of the resident dataset (Dataset.Split),
+// or the contiguous partition range [i·M/P, (i+1)·M/P) of the store — the
+// partition-file analogue of Split.
+func newRun(data *itemset.Dataset, prm Params) (*run, error) {
+	prm = prm.withDefaults()
+	if err := prm.validate(); err != nil {
+		return nil, err
+	}
+	r := &run{
+		prm:         prm,
+		store:       prm.Store,
+		perProc:     make([]procTrace, prm.P),
+		active:      make([]int, prm.P),
+		owned:       make([][]int, prm.P),
+		restartWant: make([]bool, prm.P),
+		rec:         prm.Recorder,
+	}
+	if prm.Backend == BackendOOC {
+		if data != nil {
+			return nil, fmt.Errorf("core: backend %q mines from Params.Store; the dataset argument must be nil", BackendOOC)
 		}
-		r.engB = b
+		info := prm.Store.Info()
+		r.numItems, r.nTxns = info.NumItems, info.NumTxns
+	} else {
+		if data == nil {
+			return nil, fmt.Errorf("core: nil dataset")
+		}
+		r.numItems, r.nTxns = data.NumItems, data.Len()
+		r.shards = data.Split(prm.P)
 	}
-	return r.engB
-}
+	r.minCount = prm.Apriori.MinCount(r.nTxns)
+	for i := range r.active {
+		r.active[i] = i
+		if r.store == nil {
+			r.owned[i] = []int{i}
+			continue
+		}
+		m := r.store.Partitions()
+		for pi := i * m / prm.P; pi < (i+1)*m/prm.P; pi++ {
+			r.owned[i] = append(r.owned[i], pi)
+		}
+	}
+	r.rebuildVRank()
 
-// np returns the number of participating processors — the "P" the grid is
-// shaped over.  Falls back to prm.P when the active list is not
-// initialized (unit tests construct run directly).
-func (r *run) np() int {
-	if len(r.active) > 0 {
-		return len(r.active)
+	cl, err := cluster.New(prm.P, prm.Machine)
+	if err != nil {
+		return nil, err
 	}
-	return r.prm.P
-}
-
-// ownedShardsOf returns the shard indices the rank counts, falling back to
-// the identity assignment when the ownership table is not initialized
-// (unit tests construct run directly).
-func (r *run) ownedShardsOf(rank int) []int {
-	if r.ownedShards == nil {
-		return []int{rank}
+	if prm.Trace || prm.Recorder != nil {
+		cl.EnableTrace()
 	}
-	return r.ownedShards[rank]
+	if err := cl.InstallFaults(prm.Faults); err != nil {
+		return nil, err
+	}
+	r.cl, r.world = cl, cl.World()
+	r.engB, err = countengine.New(prm.Apriori.Engine, countengine.Config{
+		Tree:     prm.Apriori.Tree,
+		NumItems: r.numItems,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // rebuildVRank recomputes the global-rank → virtual-rank map from active.
@@ -611,24 +558,19 @@ type passLocal struct {
 	clockEnd      float64
 	candImbalance float64
 	restored      bool // seeded from a persistent checkpoint, not mined
-	// read is the processor's out-of-core read-path record for the pass
-	// (zero on the in-memory backend).
-	read oocReadStats
+	// read is the processor's read-path record for the pass (zero on the
+	// in-memory backend).
+	read ReadStats
 }
 
 // firstActive returns the lowest participating global rank, whose copy of
 // the (globally identical) frequent levels is authoritative.
-func (r *run) firstActive() int {
-	if len(r.active) > 0 {
-		return r.active[0]
-	}
-	return 0
-}
+func (r *run) firstActive() int { return r.active[0] }
 
 // assembleResult builds the apriori.Result from the first active
 // processor's levels.
 func (r *run) assembleResult() *apriori.Result {
-	res := &apriori.Result{N: r.txnCount(), MinCount: r.minCount}
+	res := &apriori.Result{N: r.nTxns, MinCount: r.minCount}
 	res.Levels = r.perProc[r.firstActive()].levels
 	for _, pl := range r.perProc[r.firstActive()].passes {
 		res.Passes = append(res.Passes, apriori.PassStats{
@@ -646,13 +588,6 @@ func (r *run) assembleResult() *apriori.Result {
 // PassReports.  Ranks lost to permanent faults are excluded: their
 // truncated records describe work the recovered computation redid.
 func (r *run) assemblePasses() []PassReport {
-	members := r.active
-	if len(members) == 0 {
-		members = make([]int, r.prm.P)
-		for i := range members {
-			members[i] = i
-		}
-	}
 	nPasses := len(r.perProc[r.firstActive()].passes)
 	out := make([]PassReport, nPasses)
 	for k := 0; k < nPasses; k++ {
@@ -669,11 +604,11 @@ func (r *run) assemblePasses() []PassReport {
 		}
 		var times []float64
 		var maxEnd, maxStart float64
-		for _, pi := range members {
+		for _, pi := range r.active {
 			pl := r.perProc[pi].passes[k]
 			pr.Tree.Add(pl.tree)
 			pr.BytesMoved += pl.bytesMoved
-			pr.Read.Add(readStatsOf(pl.read))
+			pr.Read.Add(pl.read)
 			times = append(times, pl.countTime)
 			if pl.clockEnd > maxEnd {
 				maxEnd = pl.clockEnd

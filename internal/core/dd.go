@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
-	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
 	"parapriori/internal/obsv"
 	"parapriori/internal/partition"
@@ -25,20 +23,14 @@ import (
 // that isolates how much of IDD's win is communication vs partitioning.
 func (r *run) ddBody(p *cluster.Proc) error {
 	tr := &r.perProc[p.ID()]
-	prev := r.firstPass(p, tr)
-	tr.levels = append(tr.levels, prev)
-	r.passSpan(p, tr)
+	if err := r.firstPass(p, tr); err != nil {
+		return err
+	}
+	prev := tr.levels[0]
 
-	shard := r.shards[p.ID()]
 	for k := 2; len(prev) > 0; k++ {
-		if r.prm.Apriori.MaxPasses > 0 && k > r.prm.Apriori.MaxPasses {
-			break
-		}
 		clockStart := p.Clock()
-
-		cands := apriori.Gen(itemsetsOf(prev))
-		chargeGen(p, len(cands))
-		r.sec(p, "candidate gen", clockStart, obsv.Int("k", int64(k)))
+		cands := r.genCandidates(p, k, prev)
 		if len(cands) == 0 {
 			break
 		}
@@ -52,63 +44,48 @@ func (r *run) ddBody(p *cluster.Proc) error {
 		candImbalance := partition.Imbalance(counts)
 
 		buildStart := p.Clock()
-		hcands := make([]*hashtree.Candidate, len(myCands))
-		for i, s := range myCands {
-			hcands[i] = &hashtree.Candidate{Items: s}
-		}
-		tree, err := hashtree.New(k, hcands, r.prm.Apriori.Tree)
+		eng, err := r.engB.NewPass(k, myCands)
 		if err != nil {
 			return fmt.Errorf("pass %d: %w", k, err)
 		}
-		chargeBuild(p, tree.Stats().Inserts)
+		chargeEngineBuild(p, eng.Stats())
 		r.sec(p, "build", buildStart, obsv.Int("k", int64(k)))
 
 		computeBefore := p.Stats().ComputeTime
-		process := func(page []itemset.Transaction) {
-			if len(page) == 0 || tree.Len() == 0 {
-				return
-			}
-			before := tree.Stats()
-			for _, t := range page {
-				tree.Subset(t.Items, nil)
-			}
-			chargeSubset(p, treeDelta(before, tree.Stats()))
-		}
-
 		countStart := p.Clock()
-		pages := shard.Pages(r.prm.PageBytes)
-		p.ReadIO(int64(shard.Bytes()), "io")
 		var bytesMoved int64
 		if r.prm.Algo == DDComm {
-			bytesMoved = ringCount(p, r.world, fmt.Sprintf("k%d/ring", k), pages, process)
+			bytesMoved, _, err = r.ringCount(p, r.world, fmt.Sprintf("k%d/ring", k), counter(p, eng, nil))
 		} else {
-			bytesMoved = r.allToAllCount(p, fmt.Sprintf("k%d/a2a", k), pages, process)
+			bytesMoved, err = r.allToAllCount(p, fmt.Sprintf("k%d/a2a", k), counter(p, eng, nil))
+		}
+		if err != nil {
+			return fmt.Errorf("pass %d: %w", k, err)
 		}
 		countTime := p.Stats().ComputeTime - computeBefore
 		r.sec(p, "count", countStart, obsv.Int("k", int64(k)))
 
 		exStart := p.Clock()
-		frequentLocal := pruneLocal(myCands, tree.Counts(), r.minCount)
+		frequentLocal := pruneLocal(myCands, engineCounts(p, eng), r.minCount)
 		level := exchangeFrequent(p, r.world, fmt.Sprintf("k%d/freq", k), frequentLocal)
 		r.sec(p, "exchange", exStart, obsv.Int("k", int64(k)))
 
-		tr.passes = append(tr.passes, passLocal{
+		err = r.finishPass(p, tr, passLocal{
 			k:             k,
 			candidates:    len(cands),
 			localCands:    len(myCands),
-			frequent:      len(level),
 			gridRows:      r.prm.P,
 			gridCols:      1,
 			treeParts:     1,
-			tree:          tree.Stats(),
+			tree:          eng.Stats().TreeStats(),
 			bytesMoved:    bytesMoved,
 			countTime:     countTime,
 			clockStart:    clockStart,
-			clockEnd:      p.Clock(),
 			candImbalance: candImbalance,
-		})
-		tr.levels = append(tr.levels, level)
-		r.passSpan(p, tr)
+		}, level)
+		if err != nil {
+			return err
+		}
 		prev = level
 	}
 	return nil
@@ -121,16 +98,15 @@ func (r *run) ddBody(p *cluster.Proc) error {
 // factor equal to the sender–receiver ring distance (see the cluster
 // package comment), which is what makes this pattern take "significantly
 // more than O(N) time" on sparse interconnects.
-func (r *run) allToAllCount(p *cluster.Proc, tag string, pages [][]itemset.Transaction, process func([]itemset.Transaction)) int64 {
+func (r *run) allToAllCount(p *cluster.Proc, tag string, process func([]itemset.Transaction)) (int64, error) {
 	me, procs := p.ID(), r.prm.P
+	src := r.openSource(p, procs == 1)
+	defer src.close()
 	if procs == 1 {
-		for _, page := range pages {
-			process(page)
-		}
-		return 0
+		return 0, scanLocal(p, src, process)
 	}
 	// Agree on per-processor page counts so receive loops terminate.
-	gathered := r.world.AllGather(p, tag+"/npages", len(pages), 8)
+	gathered := r.world.AllGather(p, tag+"/npages", src.blocks, 8)
 	pageCount := make([]int, procs)
 	maxPages := 0
 	for _, g := range gathered {
@@ -143,8 +119,11 @@ func (r *run) allToAllCount(p *cluster.Proc, tag string, pages [][]itemset.Trans
 
 	var sent int64
 	for round := 0; round < maxPages; round++ {
-		if round < len(pages) {
-			page := pages[round]
+		if round < src.blocks {
+			page, err := src.next(p)
+			if err != nil {
+				return sent, err
+			}
 			b := pageBytesOf(page)
 			for dst := 0; dst < procs; dst++ {
 				if dst == me {
@@ -160,13 +139,13 @@ func (r *run) allToAllCount(p *cluster.Proc, tag string, pages [][]itemset.Trans
 			// local page is processed in the same round either way.
 			process(page)
 		}
-		for src := 0; src < procs; src++ {
-			if src == me || round >= pageCount[src] {
+		for from := 0; from < procs; from++ {
+			if from == me || round >= pageCount[from] {
 				continue
 			}
-			msg := p.Recv(src, tag)
+			msg := p.Recv(from, tag)
 			process(msg.Payload.([]itemset.Transaction))
 		}
 	}
-	return sent
+	return sent, nil
 }

@@ -38,39 +38,19 @@ func (r *run) gridBody(p *cluster.Proc) error {
 	if vr < 0 {
 		return nil
 	}
-	np := r.np()
+	np := len(r.active)
 	tr := &r.perProc[p.ID()]
 	r.chargeRestore(p, tr)
-	var prev []apriori.Frequent
 	if len(tr.levels) == 0 {
-		if r.ooc() {
-			var err error
-			if prev, err = r.firstPassOOC(p, tr); err != nil {
-				return err
-			}
-		} else {
-			prev = r.firstPass(p, tr)
-		}
-		tr.levels = append(tr.levels, prev)
-		ckStart := p.Clock()
-		if err := r.checkpoint(p, prev); err != nil {
+		if err := r.firstPass(p, tr); err != nil {
 			return err
 		}
-		r.sec(p, "checkpoint", ckStart, obsv.Int("k", 1))
-		r.passSpan(p, tr)
-	} else {
-		prev = tr.levels[len(tr.levels)-1]
 	}
+	prev := tr.levels[len(tr.levels)-1]
 
 	for k := len(tr.levels) + 1; len(prev) > 0; k++ {
-		if r.prm.Apriori.MaxPasses > 0 && k > r.prm.Apriori.MaxPasses {
-			break
-		}
 		clockStart := p.Clock()
-
-		cands := apriori.Gen(itemsetsOf(prev))
-		chargeGen(p, len(cands))
-		r.sec(p, "candidate gen", clockStart, obsv.Int("k", int64(k)))
+		cands := r.genCandidates(p, k, prev)
 		if len(cands) == 0 {
 			break
 		}
@@ -95,7 +75,7 @@ func (r *run) gridBody(p *cluster.Proc) error {
 			myCands = asg.PerProc[row]
 			candImbalance = asg.Imbalance()
 			chargeScan(p, int64(len(cands)), "partition")
-			bm := bitmap.New(r.itemCount())
+			bm := bitmap.New(r.numItems)
 			for _, c := range myCands {
 				bm.Set(int(c[0]))
 			}
@@ -117,13 +97,8 @@ func (r *run) gridBody(p *cluster.Proc) error {
 		computeBefore := p.Stats().ComputeTime
 		var passTree hashtree.Stats
 		var bytesMoved int64
-		var read oocReadStats
+		var read ReadStats
 		var frequentLocal []apriori.Frequent
-		var pages [][]itemset.Transaction
-		var shardBytes int64
-		if !r.ooc() {
-			pages, shardBytes = r.ownedPages(p.ID())
-		}
 
 		// Every processor joins every part's ring shift and reduction even
 		// if its own candidate share is empty (a row can receive zero
@@ -132,59 +107,22 @@ func (r *run) gridBody(p *cluster.Proc) error {
 		for part := 0; part < parts; part++ {
 			lo, hi := part*len(myCands)/parts, (part+1)*len(myCands)/parts
 			buildStart := p.Clock()
-			eng, err := r.engineBuilder().NewPass(k, myCands[lo:hi])
+			eng, err := r.engB.NewPass(k, myCands[lo:hi])
 			if err != nil {
 				return fmt.Errorf("pass %d: %w", k, err)
 			}
 			chargeEngineBuild(p, eng.Stats())
 			r.sec(p, "build", buildStart, obsv.Int("k", int64(k)), obsv.Int("part", int64(part)))
 
-			process := func(page []itemset.Transaction) {
-				if len(page) == 0 {
-					return
-				}
-				var items int64
-				for _, t := range page {
-					items += int64(len(t.Items))
-				}
-				if eng.Len() > 0 {
-					before := eng.Stats()
-					eng.CountBlock(page, filter)
-					chargeEngineCount(p, countengine.Delta(before, eng.Stats()))
-				}
-				if filter != nil {
-					// The root-level bitmap check touches every item of
-					// every transaction once.
-					chargeScan(p, items, "filter")
-				}
-			}
-
 			countStart := p.Clock()
-			if r.ooc() {
-				// Out of core, every block's real on-disk size is charged as
-				// it is read (inside the stream) instead of one modeled
-				// charge for the whole shard.
-				moved, rs, err := r.ringCountStream(p, colComm, fmt.Sprintf("k%d.p%d/ring", k, part), process)
-				if err != nil {
-					return fmt.Errorf("pass %d: %w", k, err)
-				}
-				bytesMoved += moved
-				read.add(rs)
-			} else {
-				p.ReadIO(shardBytes, "io")
-				bytesMoved += ringCount(p, colComm, fmt.Sprintf("k%d.p%d/ring", k, part), pages, process)
+			moved, rs, err := r.ringCount(p, colComm, fmt.Sprintf("k%d.p%d/ring", k, part), counter(p, eng, filter))
+			if err != nil {
+				return fmt.Errorf("pass %d: %w", k, err)
 			}
-			// Deferred backends (bitset) intersect their bitmaps inside
-			// Counts; snapshotting around the call folds that work into the
-			// count section.  The hash tree and trie charge nothing here.
-			countsBefore := eng.Stats()
-			counts := eng.Counts()
-			chargeEngineCount(p, countengine.Delta(countsBefore, eng.Stats()))
-			countArgs := []obsv.Attr{obsv.Int("k", int64(k)), obsv.Int("part", int64(part))}
-			if r.ooc() {
-				countArgs = append(countArgs, obsv.Int("read_bytes", read.bytes))
-			}
-			r.sec(p, "count", countStart, countArgs...)
+			bytesMoved += moved
+			read.Add(rs)
+			counts := engineCounts(p, eng)
+			r.sec(p, "count", countStart, r.readArgs(read, obsv.Int("k", int64(k)), obsv.Int("part", int64(part)))...)
 
 			redStart := p.Clock()
 			global := rowComm.AllReduceInt64(p, fmt.Sprintf("k%d.p%d/red", k, part), counts)
@@ -205,11 +143,10 @@ func (r *run) gridBody(p *cluster.Proc) error {
 			r.sec(p, "exchange", exStart, obsv.Int("k", int64(k)))
 		}
 
-		tr.passes = append(tr.passes, passLocal{
+		err := r.finishPass(p, tr, passLocal{
 			k:             k,
 			candidates:    len(cands),
 			localCands:    len(myCands),
-			frequent:      len(level),
 			gridRows:      g,
 			gridCols:      cols,
 			treeParts:     parts,
@@ -217,38 +154,15 @@ func (r *run) gridBody(p *cluster.Proc) error {
 			bytesMoved:    bytesMoved,
 			countTime:     countTime,
 			clockStart:    clockStart,
-			clockEnd:      p.Clock(),
 			candImbalance: candImbalance,
 			read:          read,
-		})
-		tr.levels = append(tr.levels, level)
-		ckStart := p.Clock()
-		if err := r.checkpoint(p, level); err != nil {
+		}, level, obsv.Int("row", int64(row)), obsv.Int("col", int64(col)))
+		if err != nil {
 			return err
 		}
-		r.sec(p, "checkpoint", ckStart, obsv.Int("k", int64(k)))
-		r.passSpan(p, tr, obsv.Int("row", int64(row)), obsv.Int("col", int64(col)))
 		prev = level
 	}
 	return nil
-}
-
-// ownedPages concatenates the pages of every shard the rank owns (its own
-// plus any adopted from lost ranks) and returns them with the total byte
-// size, in deterministic shard order.
-func (r *run) ownedPages(rank int) ([][]itemset.Transaction, int64) {
-	if r.ownedShards == nil {
-		sh := r.shards[rank]
-		return sh.Pages(r.prm.PageBytes), int64(sh.Bytes())
-	}
-	var pages [][]itemset.Transaction
-	var bytes int64
-	for _, si := range r.ownedShards[rank] {
-		sh := r.shards[si]
-		pages = append(pages, sh.Pages(r.prm.PageBytes)...)
-		bytes += int64(sh.Bytes())
-	}
-	return pages, bytes
 }
 
 // chooseG picks the number of candidate partitions (grid rows) for a pass
@@ -257,11 +171,11 @@ func (r *run) ownedPages(rank int) ([][]itemset.Transaction, int64) {
 // the active count no smaller than ⌈m/threshold⌉ so every row keeps at
 // least `threshold` candidates (Table II's dynamic configurations).
 //
-// The grid is shaped over np() — after graceful degradation a pinned
-// FixedG that no longer divides the survivor count is rounded down to the
-// largest divisor that does.
+// The grid is shaped over the active ranks — after graceful degradation a
+// pinned FixedG that no longer divides the survivor count is rounded down
+// to the largest divisor that does.
 func (r *run) chooseG(m int) int {
-	np := r.np()
+	np := len(r.active)
 	switch r.prm.Algo {
 	case CD:
 		return 1
@@ -305,40 +219,33 @@ func (r *run) gridComms(row, col, g, cols int) (rowComm, colComm *cluster.Comm) 
 	for rr := 0; rr < g; rr++ {
 		colMembers[rr] = r.active[rr*cols+col]
 	}
-	rowComm, err := cluster.NewComm(r.cl, rowMembers)
-	if err != nil {
-		panic(err) // unreachable: members derived from valid grid shape
-	}
-	colComm, err = cluster.NewComm(r.cl, colMembers)
-	if err != nil {
-		panic(err)
-	}
-	return rowComm, colComm
+	return r.mustComm(rowMembers), r.mustComm(colMembers)
 }
 
 // ringCount runs the pipelined ring data movement of Figure 6 over the
-// communicator: every processor's pages take size-1 hops around the ring,
+// communicator: every processor's blocks take size-1 hops around the ring,
 // and each buffer is processed between posting the send and completing the
 // receive, so communication overlaps computation on machines that support
-// it.  It returns the transaction bytes this processor sent.
+// it.  The blocks come from the rank's source as the ring needs them, so a
+// store-backed rank never materializes its partitions.  It returns the
+// transaction bytes this processor sent and its source's read stats.
 //
 // With a singleton communicator it degenerates to processing the local
-// pages in place (CD's counting loop).
-func ringCount(p *cluster.Proc, cm *cluster.Comm, tag string, pages [][]itemset.Transaction, process func([]itemset.Transaction)) int64 {
+// blocks in place (CD's counting loop), with the source's buffers recycled.
+func (r *run) ringCount(p *cluster.Proc, cm *cluster.Comm, tag string, process func([]itemset.Transaction)) (sent int64, read ReadStats, err error) {
 	size := cm.Size()
+	src := r.openSource(p, size == 1)
+	defer func() { read = src.close() }()
 	if size == 1 {
-		for _, page := range pages {
-			process(page)
-		}
-		return 0
+		return 0, read, scanLocal(p, src, process)
 	}
 	rank := cm.Rank(p)
 	if rank < 0 {
 		panic(fmt.Sprintf("core: proc %d not in ring communicator %q", p.ID(), tag))
 	}
-	// Processors may hold different page counts (±1); agree on the number
-	// of rounds so the ring stays in step, padding with empty buffers.
-	counts := cm.AllGather(p, tag+"/npages", len(pages), 8)
+	// Processors may hold different block counts; agree on the number of
+	// rounds so the ring stays in step, padding with empty buffers.
+	counts := cm.AllGather(p, tag+"/npages", src.blocks, 8)
 	rounds := 0
 	for _, g := range counts {
 		if n := g.Payload.(int); n > rounds {
@@ -348,11 +255,10 @@ func ringCount(p *cluster.Proc, cm *cluster.Comm, tag string, pages [][]itemset.
 
 	right := (rank + 1) % size
 	left := (rank - 1 + size) % size
-	var sent int64
 	for round := 0; round < rounds; round++ {
-		var cur []itemset.Transaction
-		if round < len(pages) {
-			cur = pages[round]
+		cur, err := src.next(p)
+		if err != nil {
+			return sent, read, err
 		}
 		for s := 0; s < size-1; s++ {
 			b := pageBytesOf(cur)
@@ -364,7 +270,43 @@ func ringCount(p *cluster.Proc, cm *cluster.Comm, tag string, pages [][]itemset.
 		}
 		process(cur)
 	}
-	return sent
+	return sent, read, nil
+}
+
+// counter returns the block callback of a counting scan: the block streams
+// through the pass's engine and the measured work is charged; with IDD's
+// root filter the per-item bitmap check is charged too.
+func counter(p *cluster.Proc, eng countengine.Engine, filter func(itemset.Item) bool) func([]itemset.Transaction) {
+	return func(page []itemset.Transaction) {
+		if len(page) == 0 {
+			return
+		}
+		if eng.Len() > 0 {
+			before := eng.Stats()
+			eng.CountBlock(page, filter)
+			chargeEngineCount(p, countengine.Delta(before, eng.Stats()))
+		}
+		if filter != nil {
+			// The root-level bitmap check touches every item of every
+			// transaction once.
+			var items int64
+			for _, t := range page {
+				items += int64(len(t.Items))
+			}
+			chargeScan(p, items, "filter")
+		}
+	}
+}
+
+// engineCounts returns the engine's candidate counts.  Deferred backends
+// (bitset) intersect their bitmaps inside Counts; snapshotting around the
+// call folds that work into the count section.  The hash tree and trie
+// charge nothing here.
+func engineCounts(p *cluster.Proc, eng countengine.Engine) []int64 {
+	before := eng.Stats()
+	counts := eng.Counts()
+	chargeEngineCount(p, countengine.Delta(before, eng.Stats()))
+	return counts
 }
 
 // pageBytesOf is the modeled wire size of a transaction page: a small

@@ -9,8 +9,14 @@ import (
 )
 
 func TestChooseG(t *testing.T) {
+	d := testData(t)
 	mk := func(algo Algorithm, p, fixedG, threshold int) *run {
-		return &run{prm: Params{Algo: algo, P: p, FixedG: fixedG, HDThreshold: threshold}}
+		r, err := newRun(d, Params{Algo: algo, P: p, FixedG: fixedG, HDThreshold: threshold,
+			Apriori: apriori.Params{MinSupport: 0.02}})
+		if err != nil {
+			t.Fatalf("newRun: %v", err)
+		}
+		return r
 	}
 	if got := mk(CD, 16, 0, 100).chooseG(1e6); got != 1 {
 		t.Errorf("CD chooseG = %d", got)

@@ -27,21 +27,16 @@ import (
 // congestion like DD's scatter.
 func (r *run) hpaBody(p *cluster.Proc) error {
 	tr := &r.perProc[p.ID()]
-	prev := r.firstPass(p, tr)
-	tr.levels = append(tr.levels, prev)
-	r.passSpan(p, tr)
+	if err := r.firstPass(p, tr); err != nil {
+		return err
+	}
+	prev := tr.levels[0]
 
 	shard := r.shards[p.ID()]
 	procs := r.prm.P
 	for k := 2; len(prev) > 0; k++ {
-		if r.prm.Apriori.MaxPasses > 0 && k > r.prm.Apriori.MaxPasses {
-			break
-		}
 		clockStart := p.Clock()
-
-		cands := apriori.Gen(itemsetsOf(prev))
-		chargeGen(p, len(cands))
-		r.sec(p, "candidate gen", clockStart, obsv.Int("k", int64(k)))
+		cands := r.genCandidates(p, k, prev)
 		if len(cands) == 0 {
 			break
 		}
@@ -81,22 +76,21 @@ func (r *run) hpaBody(p *cluster.Proc) error {
 		level := exchangeFrequent(p, r.world, fmt.Sprintf("k%d/freq", k), frequentLocal)
 		r.sec(p, "exchange", exStart, obsv.Int("k", int64(k)))
 
-		tr.passes = append(tr.passes, passLocal{
+		err := r.finishPass(p, tr, passLocal{
 			k:             k,
 			candidates:    len(cands),
 			localCands:    len(myCands),
-			frequent:      len(level),
 			gridRows:      procs,
 			gridCols:      1,
 			treeParts:     1,
 			bytesMoved:    bytesMoved,
 			countTime:     countTime,
 			clockStart:    clockStart,
-			clockEnd:      p.Clock(),
 			candImbalance: candImbalance,
-		})
-		tr.levels = append(tr.levels, level)
-		r.passSpan(p, tr)
+		}, level)
+		if err != nil {
+			return err
+		}
 		prev = level
 	}
 	return nil

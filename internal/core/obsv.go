@@ -52,12 +52,12 @@ func (r *run) passSpan(p *cluster.Proc, tr *procTrace, extra ...obsv.Attr) {
 		obsv.Int("grid_cols", int64(pl.gridCols)),
 		obsv.Int("bytes_moved", pl.bytesMoved),
 	}
-	if pl.read.blocks > 0 {
+	if pl.read.Blocks > 0 {
 		args = append(args,
-			obsv.Int("read_blocks", pl.read.blocks),
-			obsv.Int("read_bytes", pl.read.bytes),
-			obsv.Int("read_stalls", pl.read.stalls),
-			obsv.Float("decode_seconds", pl.read.decodeSeconds),
+			obsv.Int("read_blocks", pl.read.Blocks),
+			obsv.Int("read_bytes", pl.read.Bytes),
+			obsv.Int("read_stalls", pl.read.Stalls),
+			obsv.Float("decode_seconds", pl.read.DecodeSeconds),
 		)
 	}
 	args = append(args, extra...)
@@ -65,6 +65,16 @@ func (r *run) passSpan(p *cluster.Proc, tr *procTrace, extra ...obsv.Attr) {
 		Name: "pass k=" + strconv.Itoa(pl.k), Cat: obsv.CatPass, Rank: p.ID(),
 		Start: pl.clockStart, End: p.Clock(), Args: args,
 	})
+}
+
+// readArgs appends the bytes a store-backed rank has read so far in the
+// pass to a scan or count section's args.  Resident runs charge one read
+// per scan and carry no per-block telemetry, so their sections get none.
+func (r *run) readArgs(read ReadStats, args ...obsv.Attr) []obsv.Attr {
+	if r.store != nil {
+		args = append(args, obsv.Int("read_bytes", read.Bytes))
+	}
+	return args
 }
 
 // recordRunTrace finishes the observability trace after the cluster run:

@@ -19,9 +19,9 @@ import (
 // driver truncates every survivor's levels to that cut, clears the
 // in-flight communication state (cluster.ResetComm), revives transient
 // crashers (their virtual clocks keep the crash time — recovery time is
-// real time), removes permanent losses from the active set (their shards
-// are adopted by the ring successor, and the grid reshapes over the
-// survivors), and re-runs the SPMD body.  Bodies resume from their
+// real time), removes permanent losses from the active set (their shards or
+// store partitions are adopted by the ring successor, and the grid reshapes
+// over the survivors), and re-runs the SPMD body.  Bodies resume from their
 // checkpoint: k = last completed level + 1.
 //
 // Params.Recovery picks who pays the restore charge on re-entry.
@@ -97,7 +97,8 @@ func (r *run) mineWithRecovery(body func(p *cluster.Proc) error) error {
 }
 
 // degrade removes the marked ranks from the active set, handing each
-// removed rank's shards to its ring successor among the survivors.
+// removed rank's shards or store partitions to its ring successor among the
+// survivors.
 func (r *run) degrade(remove []bool) error {
 	any := false
 	for _, g := range r.active {
@@ -119,16 +120,16 @@ func (r *run) degrade(remove []bool) error {
 	if len(kept) == 0 {
 		return fmt.Errorf("core: all %d processors lost, cannot recover", r.prm.P)
 	}
-	// Adopt shards: each removed rank's shards go to the next surviving
-	// rank on the (old) active ring, so data locality degrades gracefully
-	// instead of re-sharding the whole database.
+	// Adopt data: each removed rank's shards or partitions go to the next
+	// surviving rank on the (old) active ring, so data locality degrades
+	// gracefully instead of re-sharding the whole database.
 	for _, g := range r.active {
 		if !remove[g] {
 			continue
 		}
 		succ := r.ringSuccessor(g, remove)
-		r.ownedShards[succ] = append(r.ownedShards[succ], r.ownedShards[g]...)
-		r.ownedShards[g] = nil
+		r.owned[succ] = append(r.owned[succ], r.owned[g]...)
+		r.owned[g] = nil
 	}
 	r.active = kept
 	r.rebuildVRank()
@@ -154,7 +155,7 @@ func (r *run) ringSuccessor(g int, remove []bool) int {
 func (r *run) mustComm(members []int) *cluster.Comm {
 	cm, err := cluster.NewComm(r.cl, members)
 	if err != nil {
-		panic(err) // unreachable: members are valid surviving ranks
+		panic(err) // unreachable: members are valid active ranks
 	}
 	return cm
 }

@@ -167,9 +167,6 @@ func (o ParallelOptions) Validate() error {
 		default:
 			return optErr(strct, "Backend", "out-of-core execution supports cd, idd and hd, not %q", string(o.Algorithm))
 		}
-		if o.Faults != nil {
-			return optErr(strct, "Faults", "fault injection is not supported on the ooc backend")
-		}
 	}
 	return nil
 }
